@@ -64,8 +64,7 @@ int main(int argc, char** argv) {
   }
 
   const DlxModel m = build_dlx();
-  m.ctrl.warm_caches();
-  (void)m.dp.topo_order();
+  m.warm_caches();
   std::vector<DesignError> errors = wrap(enumerate_bus_ssl(m.dp));
   if (quick && errors.size() > 48) errors.resize(48);
   std::printf("bench_campaign: %zu SSL errors, %u jobs, %u hardware threads\n",
@@ -184,8 +183,8 @@ int main(int argc, char** argv) {
   std::printf(
       "dropping campaign: %.2fs (%zu generator runs instead of %zu, "
       "%zu dropped, error sim %.2fs)\n",
-      drop_campaign_s, dres.stats.total - dres.dropped, dres.stats.total,
-      dres.dropped, dres.dropping_seconds);
+      drop_campaign_s, dres.stats.total - dres.stats.dropped, dres.stats.total,
+      dres.stats.dropped, dres.dropping_seconds);
 
   std::FILE* f = std::fopen(out_path.c_str(), "wb");
   if (!f) {
@@ -219,9 +218,10 @@ int main(int argc, char** argv) {
                errors.size() / serial_s, serial.stats.detected, jobs, par_s,
                errors.size() / par_s, par_speedup, par.stats.detected,
                tests.size(), scalar_s, batch_s, drop_speedup, batch_hits,
-               drop_campaign_s, dres.stats.total - dres.dropped, dres.dropped,
-               dres.tests_kept, dres.dropping_seconds, full_errors.size(),
-               resolve_lanes(), pass_reduction_256, pass_reduction_512);
+               drop_campaign_s, dres.stats.total - dres.stats.dropped,
+               dres.stats.dropped, dres.tests_kept, dres.dropping_seconds,
+               full_errors.size(), resolve_lanes(), pass_reduction_256,
+               pass_reduction_512);
   for (std::size_t i = 0; i < lane_runs.size(); ++i) {
     const LaneRun& r = lane_runs[i];
     std::fprintf(f,

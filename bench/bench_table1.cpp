@@ -79,10 +79,10 @@ int main(int argc, char** argv) {
   dt.add_row({"errors detected", std::to_string(res.stats.detected),
               std::to_string(dres.stats.detected)});
   dt.add_row({"generator invocations", std::to_string(res.stats.total),
-              std::to_string(dres.stats.total - dres.dropped)});
+              std::to_string(dres.stats.total - dres.stats.dropped)});
   dt.add_row({"tests in final set", std::to_string(res.tests_kept),
               std::to_string(dres.tests_kept)});
-  dt.add_row({"fortuitously dropped", "0", std::to_string(dres.dropped)});
+  dt.add_row({"fortuitously dropped", "0", std::to_string(dres.stats.dropped)});
   dt.add_row({"generator seconds", fmt_double(res.stats.cpu_seconds, 2),
               fmt_double(dres.stats.cpu_seconds, 2)});
   dt.add_row({"error-simulation seconds", "0",

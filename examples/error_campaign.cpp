@@ -458,8 +458,7 @@ int main(int argc, char** argv) {
   } else if (jobs > 1) {
     // Workers share the model read-only; materialise its lazy caches before
     // handing out const refs.
-    m.ctrl.warm_caches();
-    m.dp.topo_order();
+    m.warm_caches();
     ParallelCampaignConfig pcfg;
     static_cast<CampaignConfig&>(pcfg) = ccfg;
     pcfg.jobs = jobs;
@@ -518,7 +517,7 @@ int main(int argc, char** argv) {
   if (use_drop)
     std::printf("dropping: kept %zu tests, dropped %zu errors (%.2f s error "
                 "simulation)\n",
-                res.tests_kept, res.dropped, res.dropping_seconds);
+                res.tests_kept, res.stats.dropped, res.dropping_seconds);
   if (!res.journal_note.empty())
     std::fprintf(stderr, "journal: %s\n", res.journal_note.c_str());
   if (res.resumed_rows > 0)
@@ -568,16 +567,18 @@ int main(int argc, char** argv) {
     std::printf("saved %u tests to %s/\n", saved, save_dir.c_str());
   }
 
-  // Post-mortem on aborted errors: separate provable redundancy from
+  // Post-mortem on aborted errors: separate provable redundancy (both
+  // proofs - constant bit or unobservable bit, as redundant_subset) from
   // genuine generator give-ups.
   if (emodel == "ssl" && !res.interrupted) {
     const BitConstants bc = analyze_bit_constants(m.dp);
+    const ObservableBits ob = analyze_observable_bits(m.dp);
     std::size_t redundant = 0;
     std::printf("aborted errors:\n");
     for (const CampaignRow& row : res.rows) {
       if (row.attempt.detected()) continue;
       const auto& e = std::get<BusSslError>(row.error.e);
-      const bool red = is_redundant(bc, e);
+      const bool red = is_redundant(bc, ob, e);
       redundant += red;
       const bool quarantined =
           row.attempt.outcome() == AttemptOutcome::kClaimMismatch;

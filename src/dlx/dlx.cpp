@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "netlist/check.h"
+#include "sim/schedule.h"
 
 namespace hltg {
 
@@ -16,6 +17,17 @@ const StsBind* DlxModel::find_sts(NetId n) const {
   for (const StsBind& sb : sts_binds)
     if (sb.dp_net == n) return &sb;
   return nullptr;
+}
+
+const std::vector<EvalStep>& DlxModel::schedule() const {
+  if (schedule_.empty()) schedule_ = build_eval_schedule(*this);
+  return schedule_;
+}
+
+void DlxModel::warm_caches() const {
+  ctrl.warm_caches();
+  (void)dp.topo_order();
+  (void)schedule();
 }
 
 DlxModel build_dlx(DlxConfig cfg) {

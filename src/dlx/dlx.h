@@ -145,6 +145,12 @@ struct DlxSignals {
   NetId s_haz_rsb_mem = kNoNet;
 };
 
+/// One step of the merged per-cycle evaluation schedule (sim/schedule.h).
+struct EvalStep {
+  enum Kind : std::uint8_t { kGate, kCtrlBind, kModule } kind;
+  std::uint32_t index;  ///< GateId / ctrl_binds index / ModId
+};
+
 struct DlxModel {
   Netlist dp;
   GateNet ctrl;
@@ -159,6 +165,20 @@ struct DlxModel {
 
   const CtrlBind* find_ctrl(NetId n) const;
   const StsBind* find_sts(NetId n) const;
+
+  /// Merged evaluation order of one cycle (sim/schedule.h), computed lazily
+  /// once and then shared read-only by every ProcSim / BatchSim on this
+  /// model.
+  const std::vector<EvalStep>& schedule() const;
+
+  /// Force-compute the lazy caches (controller GateNet caches, datapath
+  /// topo order, evaluation schedule). Call once before sharing a const
+  /// model across threads: the lazy getters are not safe to race on first
+  /// use.
+  void warm_caches() const;
+
+ private:
+  mutable std::vector<EvalStep> schedule_;
 };
 
 /// Build the complete model. The result is structurally checked (throws on

@@ -27,6 +27,8 @@ std::string CampaignStats::table1(const std::string& title) const {
     t.add_kv("  detected by fallback generator",
              std::to_string(detected_fallback));
   }
+  if (dropped > 0)
+    t.add_kv("  dropped (detected by a kept test)", std::to_string(dropped));
   t.add_kv("No. of errors aborted", std::to_string(aborted));
   auto abort_row = [&](const char* label, std::size_t n) {
     if (n > 0) t.add_kv(label, std::to_string(n));
@@ -43,9 +45,9 @@ std::string CampaignStats::table1(const std::string& title) const {
   abort_row("No. of oracle errors", oracle_errors);
   abort_row("No. of mismatches recovered cross-config", verify_recovered);
   abort_row("No. of batch-drop claims refuted", drop_mismatches);
-  if (attempted < total)
+  if (attempted + dropped < total)
     t.add_kv("No. of errors not attempted (interrupted)",
-             std::to_string(total - attempted));
+             std::to_string(total - attempted - dropped));
   t.add_kv("Average test sequence length", fmt_double(avg_test_length, 1));
   t.add_kv("No. of backtracks (detected errors only)",
            std::to_string(backtracks));
@@ -493,7 +495,7 @@ CampaignResult run_campaign_with_dropping(
       done[idx[k]] = 1;
       ++res.stats.detected;
       ++res.stats.detected_deterministic;
-      ++res.dropped;
+      ++res.stats.dropped;
       if (cfg.verbose)
         std::fprintf(stderr, "  [drop] %s (covered by test for %s)\n",
                      errors[idx[k]].describe(nl).c_str(),

@@ -149,8 +149,13 @@ struct CampaignRow {
 
 struct CampaignStats {
   std::size_t total = 0;
-  std::size_t attempted = 0;  ///< < total when the campaign was cancelled
+  /// Errors that got their own generator attempt. attempted + dropped <
+  /// total only when the campaign was cancelled.
+  std::size_t attempted = 0;
   std::size_t detected = 0;   ///< generated AND confirmed by simulation
+  /// Errors a dropping campaign classified without an attempt: a kept
+  /// test detected them (counted in detected / detected_deterministic).
+  std::size_t dropped = 0;
   std::size_t aborted = 0;
   /// Outcome split: detected = detected_deterministic + detected_fallback.
   std::size_t detected_deterministic = 0;
@@ -212,7 +217,6 @@ struct CampaignResult {
   /// configuration: nothing ran (rows empty), journal_note explains.
   bool resume_refused = false;
   std::size_t resumed_rows = 0;  ///< rows replayed from the journal
-  std::size_t dropped = 0;       ///< errors detected fortuitously
   std::size_t tests_kept = 0;    ///< distinct tests in the compacted set
   double dropping_seconds = 0;   ///< wall time spent error-simulating drops
   std::string journal_note;      ///< journal open/replay diagnostics

@@ -68,7 +68,7 @@ CampaignResult run_campaign_parallel(const Netlist& nl,
 
   // Lazy caches (Netlist topo order; the generators' own models) must be
   // materialised before threads share them. The netlist's is ours to warm;
-  // callers warm their model (GateNet::warm_caches) before handing out
+  // callers warm their model (DlxModel::warm_caches) before handing out
   // const refs.
   if (!errors.empty()) (void)nl.topo_order();
 

@@ -47,16 +47,17 @@ void clock_dffs2(const GateNet& gn, const std::vector<bool>& vals,
   for (GateId g : gn.dffs()) next[g] = vals[gn.gate(g).fanin[0]];
 }
 
-// The 3-valued evaluators are thin shims over the lane engine's 01X kernel
-// (gatenet/evalw): values are packed into one-word bit-pair planes, the
-// shared kernel runs at width 1, and the planes are unpacked back to L3.
-// There is exactly one implementation of 01X gate semantics in the tree -
-// the lane engine's - so the scalar and SIMD paths can never drift apart.
+// The 3-valued cycle evaluator is a thin shim over the lane engine's 01X
+// kernel (gatenet/evalw): values are packed into one-word bit-pair planes,
+// the shared kernel runs at width 1, and the planes are unpacked back to L3,
+// so the scalar and SIMD cycle paths can never drift apart. eval_gate3 below
+// is native L3 for the per-gate incremental path; tests/test_window_equiv
+// checks it against this shim.
 namespace {
 
-/// Per-thread plane scratch so the hot per-cycle imply path of
-/// core/unroll.cpp stays allocation-free. Campaign workers each get their
-/// own copy; nets of different sizes just grow the buffers.
+/// Per-thread plane scratch so repeated cycle evaluation stays
+/// allocation-free. Campaign workers each get their own copy; nets of
+/// different sizes just grow the buffers.
 struct PlaneScratch {
   std::vector<std::uint64_t> ones, zeros;
   void fit(std::size_t n) {
@@ -95,16 +96,40 @@ void eval_cycle3(const GateNet& gn, std::vector<L3>& vals) {
   for (std::size_t g = 0; g < n; ++g) vals[g] = unpack1(s.ones[g], s.zeros[g]);
 }
 
-L3 eval_gate3(const GateNet& gn, GateId g, const std::vector<L3>& vals) {
+L3 eval_gate3(const GateNet& gn, GateId g, const L3* vals) {
   const Gate& gate = gn.gate(g);
-  if (gate.kind == GateKind::kVar || gate.kind == GateKind::kDff)
-    return vals[g];
-  PlaneScratch& s = scratch();
-  s.fit(gn.num_gates());
-  for (GateId in : gate.fanin) pack1(vals[in], &s.ones[in], &s.zeros[in]);
-  eval_gates3w(gn, &g, 1, s.ones.data(), s.zeros.data(), 1,
-               LaneBackend::kScalar);
-  return unpack1(s.ones[g], s.zeros[g]);
+  switch (gate.kind) {
+    case GateKind::kVar:
+    case GateKind::kDff:
+      return vals[g];
+    case GateKind::kConst0:
+      return L3::F;
+    case GateKind::kConst1:
+      return L3::T;
+    case GateKind::kBuf:
+      return vals[gate.fanin[0]];
+    case GateKind::kNot:
+      return l3_not(vals[gate.fanin[0]]);
+    case GateKind::kAnd: {
+      L3 r = L3::T;
+      for (GateId in : gate.fanin) {
+        if (vals[in] == L3::F) return L3::F;
+        if (vals[in] == L3::X) r = L3::X;
+      }
+      return r;
+    }
+    case GateKind::kOr: {
+      L3 r = L3::F;
+      for (GateId in : gate.fanin) {
+        if (vals[in] == L3::T) return L3::T;
+        if (vals[in] == L3::X) r = L3::X;
+      }
+      return r;
+    }
+    case GateKind::kXor:
+      return l3_xor(vals[gate.fanin[0]], vals[gate.fanin[1]]);
+  }
+  return L3::X;
 }
 
 bool eval_gate2(const GateNet& gn, GateId g, const std::vector<bool>& vals) {

@@ -2,9 +2,11 @@
 //
 // The cycle-accurate simulator uses the 2-valued path; CTRLJUST's implication
 // engine uses the 3-valued path over an unrolled window (src/core/unroll).
-// The 3-valued entry points are thin shims over the lane engine's 01X
-// bit-pair kernel (gatenet/evalw) run at width 1 - evalw is the single
-// source of truth for 01X gate semantics.
+// The 3-valued cycle evaluator is a thin shim over the lane engine's 01X
+// bit-pair kernel (gatenet/evalw) run at width 1 - evalw is the reference
+// for 01X gate semantics. The single-gate evaluator is native L3 (the
+// window's incremental implication calls it once per changed gate, where
+// packing would dominate); tests/test_window_equiv holds it to the kernel.
 #pragma once
 
 #include <vector>
@@ -27,9 +29,9 @@ void clock_dffs2(const GateNet& gn, const std::vector<bool>& vals,
 /// 3-valued evaluation; same contract with L3 values.
 void eval_cycle3(const GateNet& gn, std::vector<L3>& vals);
 
-/// Evaluate one gate from its fanin values (3-valued). kVar/kDff return the
-/// value already stored.
-L3 eval_gate3(const GateNet& gn, GateId g, const std::vector<L3>& vals);
+/// Evaluate one gate from its fanin values (3-valued); `vals` is indexed by
+/// GateId. kVar/kDff return the value already stored.
+L3 eval_gate3(const GateNet& gn, GateId g, const L3* vals);
 
 /// Evaluate one gate from its fanin values (2-valued); kVar/kDff return the
 /// stored value.

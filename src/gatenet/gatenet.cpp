@@ -1,5 +1,6 @@
 #include "gatenet/gatenet.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace hltg {
@@ -125,6 +126,18 @@ const PackedLayout& GateNet::packed() const {
     packed_.dff_reset.push_back(gates_[g].reset_value ? 1 : 0);
   }
   return packed_;
+}
+
+const std::vector<unsigned>& GateNet::levels() const {
+  if (!levels_.empty() || gates_.empty()) return levels_;
+  std::vector<unsigned> lvl(gates_.size(), 0);
+  for (GateId g : topo_order()) {
+    const GateKind k = gates_[g].kind;
+    if (k == GateKind::kVar || k == GateKind::kDff) continue;
+    for (GateId in : gates_[g].fanin) lvl[g] = std::max(lvl[g], lvl[in] + 1);
+  }
+  levels_ = std::move(lvl);
+  return levels_;
 }
 
 GateId GateNet::find(const std::string& name) const {

@@ -103,6 +103,13 @@ class GateNet {
   /// evaluators consume this; see PackedLayout.
   const PackedLayout& packed() const;
 
+  /// Combinational level per gate (computed lazily): sources - kVar, kDff,
+  /// constants - sit at level 0, every other gate one above its deepest
+  /// fanin. A gate's combinational fanouts are strictly deeper, so visiting
+  /// a changed cone level by level evaluates each gate once, after all its
+  /// inputs have settled (the incremental implication of core/unroll).
+  const std::vector<unsigned>& levels() const;
+
   GateId find(const std::string& name) const;
 
   /// Count of state bits (DFFs) and per-stage breakdown - the paper's n2.
@@ -114,6 +121,7 @@ class GateNet {
     topo_.clear();
     fanout_.clear();
     dffs_.clear();
+    levels_.clear();
     packed_.ops.clear();
     packed_.fanin.clear();
     packed_.dffs.clear();
@@ -122,15 +130,16 @@ class GateNet {
   }
 
   /// Force-compute the lazy caches (topo order, fanouts, DFF list, packed
-  /// evaluation layout). Call once before sharing a const GateNet across
-  /// threads: the lazy getters mutate `mutable` members and are not safe to
-  /// race on first use.
+  /// evaluation layout, levels). Call once before sharing a const GateNet
+  /// across threads: the lazy getters mutate `mutable` members and are not
+  /// safe to race on first use.
   void warm_caches() const {
     if (!gates_.empty()) {
       topo_order();
       fanouts();
       dffs();
       packed();
+      levels();
     }
   }
 
@@ -140,6 +149,7 @@ class GateNet {
   mutable std::vector<std::vector<GateId>> fanout_;
   mutable std::vector<GateId> dffs_;
   mutable PackedLayout packed_;
+  mutable std::vector<unsigned> levels_;
 };
 
 }  // namespace hltg

@@ -5,20 +5,6 @@
 
 namespace hltg {
 
-std::vector<unsigned> levels(const GateNet& gn) {
-  std::vector<unsigned> lvl(gn.num_gates(), 0);
-  for (GateId g : gn.topo_order()) {
-    const Gate& gate = gn.gate(g);
-    if (gate.kind == GateKind::kVar || gate.kind == GateKind::kDff ||
-        gate.kind == GateKind::kConst0 || gate.kind == GateKind::kConst1)
-      continue;
-    unsigned m = 0;
-    for (GateId in : gate.fanin) m = std::max(m, lvl[in] + 1);
-    lvl[g] = m;
-  }
-  return lvl;
-}
-
 GateNetStats analyze(const GateNet& gn) {
   GateNetStats s;
   s.num_gates = gn.num_gates();
@@ -30,7 +16,7 @@ GateNetStats analyze(const GateNet& gn) {
     if (gate.role == SigRole::kCtrl) ++s.num_ctrl;
     if (gate.tertiary) ++s.num_tertiary;
   }
-  const auto lv = levels(gn);
+  const auto& lv = gn.levels();
   for (unsigned l : lv) s.comb_depth = std::max(s.comb_depth, l);
   s.dffs_by_stage = gn.dff_count_by_stage();
   s.tertiary_by_stage = gn.tertiary_count_by_stage();

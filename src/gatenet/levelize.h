@@ -30,7 +30,4 @@ struct GateNetStats {
 
 GateNetStats analyze(const GateNet& gn);
 
-/// Combinational level per gate (sources at level 0).
-std::vector<unsigned> levels(const GateNet& gn);
-
 }  // namespace hltg

@@ -107,8 +107,7 @@ CampaignService::CampaignService(const DlxModel& m, ServiceConfig cfg)
       breaker_(cfg_.supervisor.max_crashes, cfg_.poison_dir) {
   // Parallel flights hand out const refs to the model across threads:
   // materialise its lazy caches before any worker can race on them.
-  model_.ctrl.warm_caches();
-  model_.dp.topo_order();
+  model_.warm_caches();
   if (cfg_.executors == 0) cfg_.executors = 1;
   for (unsigned i = 0; i < cfg_.executors; ++i)
     executors_.emplace_back([this] { executor_loop(); });

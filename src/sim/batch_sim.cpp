@@ -4,7 +4,6 @@
 
 #include "netlist/eval.h"
 #include "sim/cosim.h"
-#include "sim/schedule.h"
 #include "util/word.h"
 
 namespace hltg {
@@ -41,8 +40,7 @@ class BatchSim {
           stuck_and_[lane * nets_ + sl.net] &= ~(std::uint64_t{1} << sl.bit);
       }
     }
-    sched_ = build_eval_schedule(m_);
-    sts_net_of_gate_.assign(m_.ctrl.num_gates(), kNoNet);
+      sts_net_of_gate_.assign(m_.ctrl.num_gates(), kNoNet);
     for (const StsBind& sb : m_.sts_binds) sts_net_of_gate_[sb.gate] = sb.dp_net;
     for (ModId i = 0; i < m_.dp.num_modules(); ++i)
       if (m_.dp.module(i).kind == ModuleKind::kReg) reg_mods_.push_back(i);
@@ -201,7 +199,7 @@ class BatchSim {
   void eval_pass() {
     ++controller_passes_;
     const Module& rfw = m_.dp.module(m_.rf_write_mod);
-    for (const EvalStep& st : sched_) {
+    for (const EvalStep& st : m_.schedule()) {
       switch (st.kind) {
         case EvalStep::kGate: {
           const GateId g = st.index;
@@ -360,7 +358,6 @@ class BatchSim {
   std::vector<SparseMemory> dmem_;
   std::vector<std::size_t> matched_writes_;
   std::vector<std::uint64_t> live_, detected_;  ///< mask words
-  std::vector<EvalStep> sched_;
   std::vector<NetId> sts_net_of_gate_;
   std::vector<ModId> reg_mods_;
   LaneBackend backend_ = LaneBackend::kScalar;

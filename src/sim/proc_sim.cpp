@@ -27,7 +27,6 @@ ProcSim::ProcSim(const DlxModel& m, const TestCase& tc, ErrorInjection inj)
   }
   stall_gate_ = m_.ctrl.find("cg.stall");
   redirect_gate_ = m_.ctrl.find("cg.redirect");
-  sched_ = build_eval_schedule(m_);
   sts_net_of_gate_.assign(m_.ctrl.num_gates(), kNoNet);
   for (const StsBind& sb : m_.sts_binds) sts_net_of_gate_[sb.gate] = sb.dp_net;
 
@@ -102,7 +101,7 @@ void ProcSim::eval_fixpoint() {
   // topological schedule settles the cycle exactly; see sim/schedule.h.
   const Module& rfw = m_.dp.module(m_.rf_write_mod);
   bool changed = false;
-  for (const EvalStep& st : sched_) {
+  for (const EvalStep& st : m_.schedule()) {
     switch (st.kind) {
       case EvalStep::kGate: {
         const GateId g = st.index;

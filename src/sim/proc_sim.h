@@ -20,7 +20,6 @@
 
 #include "dlx/dlx.h"
 #include "isa/spec_sim.h"
-#include "sim/schedule.h"
 
 namespace hltg {
 
@@ -94,7 +93,6 @@ class ProcSim {
   std::uint64_t squashes_ = 0;
   GateId stall_gate_ = kNoGate;
   GateId redirect_gate_ = kNoGate;
-  std::vector<EvalStep> sched_;
   std::vector<NetId> sts_net_of_gate_;
 };
 

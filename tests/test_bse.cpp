@@ -109,9 +109,9 @@ TEST(CampaignDropping, CompactsTestSet) {
       });
   EXPECT_GE(dropped.stats.detected, plain.stats.detected);
   EXPECT_LT(dropped.tests_kept, plain.tests_kept);
-  EXPECT_GT(dropped.dropped, 0u);
+  EXPECT_GT(dropped.stats.dropped, 0u);
   EXPECT_EQ(dropped.stats.detected,
-            dropped.tests_kept + dropped.dropped);
+            dropped.tests_kept + dropped.stats.dropped);
 }
 
 TEST(CampaignDropping, EveryKeptTestStillConfirmed) {

@@ -4,6 +4,7 @@
 #include "errors/inject.h"
 #include "isa/asm.h"
 #include "sim/cosim.h"
+#include "util/budget.h"
 
 namespace hltg {
 namespace {
@@ -148,6 +149,66 @@ TEST(Campaign, AggregatesStats) {
   EXPECT_EQ(r.stats.backtracks, 2u);
   const std::string t = r.stats.table1("Table 1");
   EXPECT_NE(t.find("No. of errors detected"), std::string::npos);
+}
+
+/// The Table-1 row whose label contains `label` ("" when there is none).
+std::string table_row(const std::string& table, const std::string& label) {
+  const std::size_t at = table.find(label);
+  if (at == std::string::npos) return {};
+  const std::size_t begin = table.rfind('\n', at) + 1;
+  return table.substr(begin, table.find('\n', at) - begin);
+}
+
+// A dropping campaign classifies errors without a generator attempt: they
+// are dropped, not interrupted. Only a cancelled sweep leaves errors
+// unvisited, and only then does the "not attempted" row appear.
+TEST(Campaign, Table1SeparatesDroppedFromInterrupted) {
+  const std::vector<DesignError> errs =
+      wrap(std::vector<BusSslError>{{0, 0, false}, {1, 0, false},
+                                    {2, 0, false}, {3, 0, false}});
+  CancelToken stop;
+  bool cancel_after_first = false;
+  const TestGenFn gen = [&](const DesignError&) {
+    if (cancel_after_first) stop.request_stop();
+    ErrorAttempt a;
+    a.generated = a.sim_confirmed = true;
+    a.test_length = 5;
+    return a;
+  };
+  // Every kept test also detects the next remaining error.
+  const BatchDetectFn detect =
+      [](const TestCase&, const std::vector<const DesignError*>& rem) {
+        std::vector<bool> det(rem.size(), false);
+        if (!det.empty()) det[0] = true;
+        return det;
+      };
+
+  const CampaignResult full = run_campaign_with_dropping(
+      model().dp, errs, ignore_budget(gen), detect, CampaignConfig{});
+  EXPECT_FALSE(full.interrupted);
+  EXPECT_EQ(full.stats.attempted, 2u);
+  EXPECT_EQ(full.stats.dropped, 2u);
+  const std::string t = full.stats.table1("Table 1");
+  EXPECT_NE(table_row(t, "dropped (detected by a kept test)").find(" 2 "),
+            std::string::npos)
+      << t;
+  EXPECT_EQ(t.find("not attempted"), std::string::npos) << t;
+
+  // Cancelled during the first attempt: error 0 runs, its test drops
+  // error 1, and errors 2 and 3 are never visited.
+  cancel_after_first = true;
+  CampaignConfig cfg;
+  cfg.cancel = &stop;
+  const CampaignResult cut = run_campaign_with_dropping(
+      model().dp, errs, ignore_budget(gen), detect, cfg);
+  EXPECT_TRUE(cut.interrupted);
+  const std::string c = cut.stats.table1("Table 1");
+  EXPECT_NE(table_row(c, "dropped (detected by a kept test)").find(" 1 "),
+            std::string::npos)
+      << c;
+  EXPECT_NE(table_row(c, "not attempted (interrupted)").find(" 2 "),
+            std::string::npos)
+      << c;
 }
 
 }  // namespace

@@ -227,7 +227,7 @@ TEST(BatchDrop, DroppingCampaignAgreesWithScalarDetector) {
   const CampaignResult b = run_campaign_with_dropping(
       model().dp, some, tg2.budgeted_strategy(), batch_detector(model()),
       CampaignConfig{});
-  EXPECT_EQ(a.dropped, b.dropped);
+  EXPECT_EQ(a.stats.dropped, b.stats.dropped);
   EXPECT_EQ(a.tests_kept, b.tests_kept);
   EXPECT_EQ(a.stats.detected, b.stats.detected);
   ASSERT_EQ(a.rows.size(), b.rows.size());
@@ -236,7 +236,7 @@ TEST(BatchDrop, DroppingCampaignAgreesWithScalarDetector) {
               b.rows[i].error.describe(model().dp));
     EXPECT_EQ(a.rows[i].attempt.detected(), b.rows[i].attempt.detected());
   }
-  EXPECT_GT(a.dropped, 0u);
+  EXPECT_GT(a.stats.dropped, 0u);
 }
 
 }  // namespace

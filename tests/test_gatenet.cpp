@@ -167,7 +167,7 @@ TEST(GateNet, LevelsIncrease) {
   const GateId n1 = g.not_("n1", a);
   const GateId n2 = g.not_("n2", n1);
   const GateId n3 = g.not_("n3", n2);
-  const auto lv = levels(gn);
+  const auto& lv = gn.levels();
   EXPECT_EQ(lv[a], 0u);
   EXPECT_LT(lv[n1], lv[n2]);
   EXPECT_LT(lv[n2], lv[n3]);

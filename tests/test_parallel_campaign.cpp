@@ -141,8 +141,7 @@ TEST(ParallelCampaign, RealGeneratorIsJobsIndependent) {
   // Real TG over a small slice of the Table-1 SSL population, one
   // TestGenerator per worker. Everything except wall-clock seconds must be
   // byte-identical across jobs counts.
-  model().ctrl.warm_caches();
-  (void)model().dp.topo_order();
+  model().warm_caches();
   const auto all = wrap(enumerate_bus_ssl(model().dp));
   const std::vector<DesignError> errors(all.begin(), all.begin() + 12);
 
@@ -178,8 +177,7 @@ TEST(ParallelCampaign, ShardedCampaignScopeMatchesErrorScopeForAnyJobs) {
   // is the deterministic round-robin shard and every piece of shared state
   // is outcome-neutral (solver/solver.h). Only effort counters may differ,
   // so the comparison is on the outcome tuple, not the journal rows.
-  model().ctrl.warm_caches();
-  (void)model().dp.topo_order();
+  model().warm_caches();
   const auto all = wrap(enumerate_bus_ssl(model().dp));
   const std::vector<DesignError> errors(all.begin(), all.begin() + 12);
 
@@ -393,7 +391,7 @@ TEST(DroppingConfig, JournalResumeReproducesDropsWithoutGeneratorRuns) {
   cfg.journal_path = path;
   const CampaignResult first = run_campaign_with_dropping(
       model().dp, errors, pure_gen(), scripted_detect(), cfg);
-  ASSERT_GT(first.dropped, 0u);
+  ASSERT_GT(first.stats.dropped, 0u);
   // Only generator attempts are journaled - dropped errors have no row.
   EXPECT_EQ(load_journal(path).rows.size(), first.rows.size());
 
@@ -404,7 +402,7 @@ TEST(DroppingConfig, JournalResumeReproducesDropsWithoutGeneratorRuns) {
   const CampaignResult resumed = run_campaign_with_dropping(
       model().dp, errors, pure_gen(&calls), scripted_detect(), rcfg);
   EXPECT_EQ(calls, 0);  // drops re-derived, no generator re-run
-  EXPECT_EQ(resumed.dropped, first.dropped);
+  EXPECT_EQ(resumed.stats.dropped, first.stats.dropped);
   EXPECT_EQ(resumed.tests_kept, first.tests_kept);
   EXPECT_EQ(render_rows(resumed), render_rows(first));
   EXPECT_EQ(resumed.stats.table1("t"), first.stats.table1("t"));

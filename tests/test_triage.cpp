@@ -461,7 +461,7 @@ TEST(TriageDrop, RefutedDropClaimsKeepTheirErrors) {
   const CampaignResult res = run_campaign_with_dropping(
       model().dp, errors, gen, lying_batch, cfg);
   EXPECT_EQ(res.stats.drop_mismatches, 2u);
-  EXPECT_EQ(res.dropped, 0u);  // refuted claims drop nothing
+  EXPECT_EQ(res.stats.dropped, 0u);  // refuted claims drop nothing
   EXPECT_EQ(res.incidents, 2u);
   EXPECT_EQ(res.stats.detected, 1u);  // error 0's own confirmed claim
   EXPECT_EQ(res.stats.aborted, 2u);   // 1 and 2 ran their own attempts
