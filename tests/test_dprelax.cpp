@@ -2,6 +2,8 @@
 // end-to-end constraint solving on the DLX window.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/dprelax.h"
 #include "isa/encode.h"
 #include "util/word.h"
@@ -170,6 +172,14 @@ struct SweepCase {
   std::uint64_t value;
   unsigned cycle;
 };
+
+// gtest prints a parameter into the listed test name. Without this it dumps
+// the raw object bytes -- a string pointer and uninitialised padding -- so the
+// discovered CTest names changed on every build and run.
+void PrintTo(const SweepCase& sc, std::ostream* os) {
+  *os << sc.net << "=0x" << std::hex << sc.value << std::dec << "@c"
+      << sc.cycle;
+}
 
 class BacksolveSweep : public ::testing::TestWithParam<SweepCase> {};
 
